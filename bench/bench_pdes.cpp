@@ -14,10 +14,11 @@
 //        instead. Any divergence fails the run (exit 1) regardless of
 //        floor settings: determinism is not hardware-dependent.
 //
-// Engine internals (windows, horizon-stall wall time, mailbox spills)
-// are reported per run so a speedup regression can be attributed:
-// stalls growing means lookahead got tighter relative to event density,
-// spills mean the SPSC rings are undersized for the traffic.
+// Engine internals (windows, horizon-stall wall time, cross-shard
+// events per window) are reported per run so a speedup regression can
+// be attributed: stalls growing means lookahead got tighter relative to
+// event density; cross-shard events per window is the barrier's
+// serial hand-off work.
 //
 // Exports BENCH_pdes.json. Floor gate: see pdes_floor.h.
 #include <chrono>
@@ -51,7 +52,7 @@ struct PdesRun {
   // Parallel-engine internals (zero for the sequential baseline).
   std::uint64_t windows = 0;
   std::uint64_t events = 0;
-  std::uint64_t spills = 0;
+  double cross_per_window = 0;
   double stall_ms = 0;
 };
 
@@ -98,7 +99,11 @@ PdesRun run_cluster(int replicas, std::uint64_t seed, const sim::EngineConfig* c
   if (sim::ParallelEngine* eng = sim.parallel_engine()) {
     r.windows = eng->windows();
     r.events = eng->events_executed();
-    r.spills = eng->mailbox_spills();
+    r.cross_per_window =
+        r.windows > 0 ? static_cast<double>(sim.telemetry().metrics().counter_value(
+                            "oftt.pdes.cross_events")) /
+                            static_cast<double>(r.windows)
+                      : 0.0;
     r.stall_ms = static_cast<double>(eng->stall_ns()) / 1e6;
   }
   return r;
@@ -133,7 +138,7 @@ int main() {
   w.key("sizes");
   w.begin_array();
 
-  row({"N / engine", "wall s", "speedup", "windows", "events", "spills", "stall ms"});
+  row({"N / engine", "wall s", "speedup", "windows", "events", "cross/win", "stall ms"});
   rule(7);
 
   bool hashes_ok = true;
@@ -160,7 +165,7 @@ int main() {
            fmt(r.wall_s, 2), fmt(speedup, 2) + "x",
            fmt_int(static_cast<long long>(r.windows)),
            fmt_int(static_cast<long long>(r.events)),
-           fmt_int(static_cast<long long>(r.spills)), fmt(r.stall_ms, 1)});
+           fmt(r.cross_per_window, 1), fmt(r.stall_ms, 1)});
       if (r.hash != lanes.front().hash) hashes_ok = false;
       if (n == 512 && workers == 4) speedup_w4_n512 = speedup;
     }
@@ -181,7 +186,7 @@ int main() {
       w.kv("hash", hex16(r.hash));
       w.kv("windows", r.windows);
       w.kv("events", r.events);
-      w.kv("mailbox_spills", r.spills);
+      w.kv("cross_events_per_window", r.cross_per_window);
       w.kv("stall_ms", r.stall_ms);
       w.end_object();
     }

@@ -394,6 +394,8 @@ void Ftim::handle_set_active(const SetActive& msg) {
   incarnation_ = msg.incarnation;
   if (msg.active == active_) return;
   active_ = msg.active;
+  if (!active_ && accepted_while_active_) runtime_current_ = false;
+  accepted_while_active_ = false;
   if (active_) {
     // A restore marks every region dirty and starts a new incarnation:
     // the first checkpoint of this reign must be self-contained.
@@ -579,6 +581,7 @@ void Ftim::handle_checkpoint(int src_node, const Buffer& payload) {
   switch (accept_image(std::move(img), blob)) {
     case Accept::kApplied:
       applied_at_ = process_->sim().now();
+      if (active_) accepted_while_active_ = true;
       if (fold && latest_) {
         if (!runtime_current_) {
           // First contact (or post-gap resync): adopt the whole

@@ -316,6 +316,10 @@ class Ftim {
   /// serialized). False on a fresh boot; a bulk restore or the first
   /// fold-on-receipt makes it true.
   bool runtime_current_ = false;
+  /// A peer image reached latest_ while this side was active (dual
+  /// primary): it was not folded, so on demotion the runtime no longer
+  /// matches latest_ and the next fold must adopt the whole base.
+  bool accepted_while_active_ = false;
   sim::SimTime applied_at_ = 0;
   std::function<void(bool)> on_activate_;
   std::function<void()> on_deactivate_;

@@ -203,24 +203,17 @@ std::string SystemMonitor::pdes_board() const {
 
   std::ostringstream os;
   os << "  windows=" << windows << " events=" << counter_or("oftt.pdes.events") << "\n";
-  // Per-worker lanes: oftt.pdes.w<N>.events gauges, already in worker
-  // order in the registry's ordered map (w0, w1, ... — lexicographic
-  // works up to w9; beyond that the order wobbles but every lane still
-  // prints).
-  constexpr std::string_view kWorkerPrefix = "oftt.pdes.w";
-  for (const auto& [name, cell] : metrics.gauges()) {
-    if (name.compare(0, kWorkerPrefix.size(), kWorkerPrefix) != 0) continue;
-    os << "  worker " << name.substr(kWorkerPrefix.size(), name.size() - kWorkerPrefix.size() - 7)
-       << ": events=" << cell->value << "\n";
-  }
+  // Per-worker lanes, in worker order: oftt.pdes.w<N>.events gauges.
   const auto& gauges = metrics.gauges();
+  for (int w = 0;; ++w) {
+    auto it = gauges.find(cat("oftt.pdes.w", w, ".events"));
+    if (it == gauges.end()) break;
+    os << "  worker " << w << ": events=" << it->second->value << "\n";
+  }
   if (auto it = gauges.find("oftt.pdes.stall_ns"); it != gauges.end()) {
     os << "  horizon_stall_ms=" << static_cast<double>(it->second->value) / 1e6 << "\n";
   }
-  if (auto it = gauges.find("oftt.pdes.mailbox_peak"); it != gauges.end()) {
-    os << "  mailbox peak=" << it->second->value << " spills=" << counter_or("oftt.pdes.mailbox_spills")
-       << "\n";
-  }
+  os << "  cross_shard_events=" << counter_or("oftt.pdes.cross_events") << "\n";
   return cat("=== Parallel engine (PDES) ===\n", os.str());
 }
 

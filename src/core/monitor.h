@@ -80,7 +80,7 @@ class SystemMonitor {
   std::string opc_board() const;
 
   /// Parallel-engine board: windows executed, events per worker lane,
-  /// horizon-stall time and mailbox high-water/spill counts, read from
+  /// horizon-stall time and cross-shard event count, read from
   /// the "oftt.pdes." metrics namespace. Empty string on a sequential
   /// run (the default engine publishes nothing there).
   std::string pdes_board() const;

@@ -181,7 +181,7 @@ bool Network::send(Datagram d) {
     latency += serialization;
     if (parallel) {
       // Cross-shard delivery: keyed with the sender's counter at send
-      // time, routed through the engine (mailbox if the destination
+      // time, routed through the engine (outbox if the destination
       // lives on another worker).
       engine->post_send(d.src_node, dst, sim_.now() + latency, [this, dst, dgram = d] {
         delivered_.fetch_add(1, std::memory_order_relaxed);

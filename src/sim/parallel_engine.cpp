@@ -32,23 +32,18 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 ParallelEngine::ParallelEngine(Simulation& sim, const EngineConfig& config)
-    : sim_(sim),
-      partition_{config.workers, config.partition},
-      workers_(config.workers),
-      mailbox_capacity_(config.mailbox_capacity == 0 ? 8 : config.mailbox_capacity) {
+    : sim_(sim), workers_(config.workers) {
   shards_.reserve(static_cast<std::size_t>(workers_));
-  for (int w = 0; w < workers_; ++w) shards_.push_back(std::make_unique<Shard>());
-  mailboxes_.reserve(static_cast<std::size_t>(workers_) * static_cast<std::size_t>(workers_));
-  for (int i = 0; i < workers_ * workers_; ++i) {
-    mailboxes_.push_back(std::make_unique<SpscMailbox>(mailbox_capacity_));
+  for (int w = 0; w < workers_; ++w) {
+    shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->outbox.resize(static_cast<std::size_t>(workers_));
   }
 
   obs::MetricsRegistry& mx = sim_.telemetry().metrics();
   ctr_windows_ = mx.counter("oftt.pdes.windows");
   ctr_events_ = mx.counter("oftt.pdes.events");
-  ctr_spills_ = mx.counter("oftt.pdes.mailbox_spills");
+  ctr_cross_events_ = mx.counter("oftt.pdes.cross_events");
   g_stall_ns_ = mx.gauge("oftt.pdes.stall_ns");
-  g_mailbox_peak_ = mx.gauge("oftt.pdes.mailbox_peak");
   g_worker_events_.reserve(static_cast<std::size_t>(workers_));
   for (int w = 0; w < workers_; ++w) {
     g_worker_events_.push_back(mx.gauge(cat("oftt.pdes.w", w, ".events")));
@@ -131,10 +126,11 @@ void ParallelEngine::post_send(int src_node, int dst_node, SimTime at, EventFn&&
     assert(c->node == src_node && "post_send must run in the sending node's context");
     if (dst_shard != c->shard) {
       // Conservative lookahead guarantees `at` lands at or beyond the
-      // current window's end, so the delivery can ride the mailbox and
-      // be inserted at the barrier.
-      mailbox(c->shard, dst_shard)
-          .push(CrossEvent{at, key, static_cast<std::uint32_t>(dst_node), std::move(fn)});
+      // current window's end, so the delivery can wait in this shard's
+      // outbox and be inserted at the barrier.
+      shards_[static_cast<std::size_t>(c->shard)]
+          ->outbox[static_cast<std::size_t>(dst_shard)]
+          .push_back(CrossEvent{at, key, static_cast<std::uint32_t>(dst_node), std::move(fn)});
       return;
     }
   }
@@ -346,26 +342,19 @@ void ParallelEngine::worker_main(int w) {
 void ParallelEngine::flush_barrier() {
   // 1. Cross-partition deliveries into their destination shard queues.
   //    Arrival order is irrelevant: the queues re-order by (time, key).
-  for (int s = 0; s < workers_; ++s) {
+  //    No atomics: every worker is parked, and the barrier mutex orders
+  //    its outbox writes before these reads. clear() keeps capacity.
+  std::uint64_t moved = 0;
+  for (auto& src : shards_) {
     for (int d = 0; d < workers_; ++d) {
-      if (s == d) continue;
+      std::vector<CrossEvent>& box = src->outbox[static_cast<std::size_t>(d)];
       EventQueue& dq = shards_[static_cast<std::size_t>(d)]->q;
-      mailbox(s, d).drain([&dq](CrossEvent&& e) {
-        dq.schedule_keyed(e.at, e.key, e.target, nullptr, std::move(e.fn));
-      });
+      for (CrossEvent& e : box) dq.schedule_keyed(e.at, e.key, e.target, nullptr, std::move(e.fn));
+      moved += box.size();
+      box.clear();
     }
   }
-  std::size_t peak = 0;
-  std::uint64_t spills = 0;
-  for (auto& mb : mailboxes_) {
-    peak = std::max(peak, mb->peak());
-    spills += mb->spills();
-  }
-  g_mailbox_peak_.set(static_cast<std::int64_t>(peak));
-  if (spills > spills_reported_) {
-    ctr_spills_.inc(spills - spills_reported_);
-    spills_reported_ = spills;
-  }
+  ctr_cross_events_.inc(moved);
 
   // 2. Replay deferred telemetry in (time, key) order — the order a
   //    sequential execution would have published in.
@@ -430,18 +419,6 @@ std::uint64_t ParallelEngine::events_executed() const {
 
 std::uint64_t ParallelEngine::worker_events(int w) const {
   return shards_.at(static_cast<std::size_t>(w))->executed;
-}
-
-std::uint64_t ParallelEngine::mailbox_spills() const {
-  std::uint64_t n = 0;
-  for (const auto& mb : mailboxes_) n += mb->spills();
-  return n;
-}
-
-std::size_t ParallelEngine::mailbox_peak() const {
-  std::size_t n = 0;
-  for (const auto& mb : mailboxes_) n = std::max(n, mb->peak());
-  return n;
 }
 
 std::uint64_t ParallelEngine::stall_ns() const { return stall_ns_; }

@@ -1,14 +1,14 @@
 // ParallelEngine: conservative parallel discrete-event execution with a
 // byte-identical determinism contract.
 //
-// Nodes are partitioned across worker threads (src/sim/partition.h);
-// each worker owns one slab-pooled EventQueue shard holding exactly its
+// Nodes are partitioned across worker threads (node % workers); each
+// worker owns one slab-pooled EventQueue shard holding exactly its
 // nodes' events. Execution alternates between
 //
 //   windows   — all workers run their shards' events with
 //               at < window_end concurrently, and
 //   barriers  — the coordinator (the thread that called run_until)
-//               drains cross-partition mailboxes, replays deferred
+//               drains cross-partition outboxes, replays deferred
 //               telemetry/log records in deterministic merge order,
 //               and executes due *global* events (fault injectors,
 //               harness drivers — anything scheduled outside a node
@@ -25,8 +25,8 @@
 // cross-node interaction goes through a Network link, so an event
 // executing at time t can only influence another node at t + lookahead
 // or later — which is >= window_end by construction. Cross-partition
-// deliveries therefore never target the current window and can ride
-// bounded SPSC mailboxes (src/sim/mailbox.h) drained at the barrier.
+// deliveries therefore never target the current window and can wait in
+// the sending shard's outbox until the barrier moves them across.
 // A zero latency_min_ would make windows empty and deadlock progress;
 // the engine refuses to run (std::runtime_error naming the network).
 //
@@ -50,7 +50,6 @@
 // i.e. sequentially.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -63,14 +62,23 @@
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/exec_context.h"
-#include "sim/mailbox.h"
-#include "sim/partition.h"
 #include "sim/time.h"
 
 namespace oftt::sim {
 
 class Simulation;
 struct EngineConfig;
+
+/// One cross-partition event: the target node's shard queue re-keys
+/// nothing — `key` was derived from the *sending* node's deterministic
+/// counter at send time (stamped with send-time semantics), so delivery
+/// order is reconstructed identically for any worker count.
+struct CrossEvent {
+  SimTime at = 0;
+  std::uint64_t key = 0;
+  std::uint32_t target = 0;  // destination node id
+  EventFn fn;
+};
 
 class ParallelEngine {
  public:
@@ -81,7 +89,11 @@ class ParallelEngine {
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
   int workers() const { return workers_; }
-  int shard_of(int node) const { return partition_.shard_of(node); }
+  /// Round-robin, and a pure function of node id and worker count: the
+  /// determinism contract says the history is identical for any worker
+  /// count, so *where* a node executes must never leak into *what* it
+  /// computes. The assignment only decides load balance.
+  int shard_of(int node) const { return workers_ <= 1 || node < 0 ? 0 : node % workers_; }
   SimTime lookahead() const { return lookahead_; }
 
   /// Simulation::add_node hook: record the node's shard.
@@ -106,8 +118,8 @@ class ParallelEngine {
   std::uint64_t windows() const { return windows_; }
   std::uint64_t events_executed() const;
   std::uint64_t worker_events(int w) const;
-  std::uint64_t mailbox_spills() const;
-  std::size_t mailbox_peak() const;
+  /// Always 0; kept because the benchmark's per-layer report reads it.
+  std::uint64_t mailbox_spills() const { return 0; }
   /// Total wall-clock ns workers spent parked at barriers.
   std::uint64_t stall_ns() const;
 
@@ -131,14 +143,13 @@ class ParallelEngine {
     std::uint64_t window_exec_ns = 0;
     std::vector<BusItem> bus_buf;
     std::vector<LogRecord> log_buf;
+    /// Cross-shard deliveries posted this window, indexed by destination
+    /// shard; moved into the destination queues at the barrier.
+    std::vector<std::vector<CrossEvent>> outbox;
     std::thread thread;
   };
 
   std::uint64_t make_key(int origin_node);
-  SpscMailbox& mailbox(int src_shard, int dst_shard) {
-    return *mailboxes_[static_cast<std::size_t>(src_shard) * static_cast<std::size_t>(workers_) +
-                       static_cast<std::size_t>(dst_shard)];
-  }
 
   void start_run();
   /// Core loop: run events with time <= t (kNever = drain), stopping
@@ -152,14 +163,11 @@ class ParallelEngine {
   SimTime global_next();
 
   Simulation& sim_;
-  Partition partition_;
   int workers_ = 1;
-  std::size_t mailbox_capacity_ = 1024;
   SimTime lookahead_ = kNever;
   bool started_ = false;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<SpscMailbox>> mailboxes_;
 
   // Barrier state (coordinator <-> workers).
   std::mutex mu_;
@@ -172,7 +180,6 @@ class ParallelEngine {
 
   std::uint64_t windows_ = 0;
   std::uint64_t global_executed_ = 0;
-  std::uint64_t spills_reported_ = 0;
   std::uint64_t stall_ns_ = 0;
 
   // Scratch for the barrier merges (reused across windows).
@@ -182,9 +189,8 @@ class ParallelEngine {
   // oftt.pdes.* metrics.
   obs::Counter ctr_windows_;
   obs::Counter ctr_events_;
-  obs::Counter ctr_spills_;
+  obs::Counter ctr_cross_events_;
   obs::Gauge g_stall_ns_;
-  obs::Gauge g_mailbox_peak_;
   std::vector<obs::Gauge> g_worker_events_;
 };
 

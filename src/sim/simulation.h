@@ -21,7 +21,6 @@
 #include "sim/exec_context.h"
 #include "sim/network.h"
 #include "sim/node.h"
-#include "sim/partition.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -40,10 +39,6 @@ struct EngineConfig {
   /// machinery — shard queues, keyed ordering, barrier windows — and is
   /// the sequential-order reference the W>1 hashes are diffed against.
   int workers = 2;
-  PartitionStrategy partition = PartitionStrategy::kRoundRobin;
-  /// Per (src shard, dst shard) SPSC ring capacity; overflow spills
-  /// (counted, never blocking).
-  std::size_t mailbox_capacity = 1024;
 };
 
 /// Overlay OFTT_ENGINE ("sequential" | "parallel") and

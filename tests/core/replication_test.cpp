@@ -410,6 +410,52 @@ TEST(WarmPassive, BackupFoldsDeltasAndPromotesWithoutBulkRestore) {
       << "warm backup must not bulk-restore at activation";
 }
 
+// A partition makes both warm replicas active, and each writes a marker
+// at its own offset. After the heal one is demoted. The survivor's
+// images that it accepted while still active were never folded, so the
+// first image it folds after demotion must adopt the whole base; folding
+// only that image's cells would leave its own marker in place.
+TEST(WarmPassive, ReplicaDemotedAfterDualPrimaryAdoptsTheSurvivorsState) {
+  sim::Simulation sim(9005);
+  PairDeployment dep(sim, policy_pair_options(ReplicationMode::kWarmPassive));
+  sim.run_for(sim::seconds(5));
+  sim::Node* nodes[2] = {&dep.node_a(), &dep.node_b()};
+  const std::uint32_t marker_offset[2] = {16, 24};
+  sim.network(0).set_link(nodes[0]->id(), nodes[1]->id(), false);
+  sim.run_for(sim::seconds(3));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(dep.ftim_on(*nodes[i])->active()) << "partition must force dual primary";
+    CounterApp::find(*nodes[i])->region().write<std::uint64_t>(marker_offset[i], 0xAB00 + i);
+  }
+
+  sim.network(0).set_link(nodes[0]->id(), nodes[1]->id(), true);
+  int demoted = -1;
+  std::uint64_t received_at_demotion = 0;
+  const sim::SimTime deadline = sim.now() + sim::seconds(5);
+  while (sim.now() < deadline) {
+    sim.run_for(sim::milliseconds(10));
+    if (demoted < 0) {
+      for (int i = 0; i < 2; ++i) {
+        if (!dep.ftim_on(*nodes[i])->active()) {
+          demoted = i;
+          received_at_demotion = dep.ftim_on(*nodes[i])->checkpoints_received();
+        }
+      }
+    } else if (dep.ftim_on(*nodes[demoted])->checkpoints_received() > received_at_demotion) {
+      break;  // the first image folded since demotion
+    }
+  }
+  ASSERT_NE(demoted, -1) << "dual primary never resolved";
+  Ftim* demoted_ftim = dep.ftim_on(*nodes[demoted]);
+  ASSERT_GT(demoted_ftim->checkpoints_received(), received_at_demotion);
+  ASSERT_FALSE(demoted_ftim->active());
+  ASSERT_TRUE(dep.ftim_on(*nodes[1 - demoted])->active());
+  const std::uint32_t off = marker_offset[demoted];
+  EXPECT_EQ(CounterApp::find(*nodes[demoted])->region().read<std::uint64_t>(off),
+            CounterApp::find(*nodes[1 - demoted])->region().read<std::uint64_t>(off))
+      << "demoted replica still holds its own dual-primary write";
+}
+
 TEST(SemiActive, FollowersExecuteTheDecisionLogAndPromoteByPromotionOnly) {
   sim::Simulation sim(9002);
   PairDeployment dep(sim, policy_pair_options(ReplicationMode::kSemiActive));

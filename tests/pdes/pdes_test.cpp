@@ -1,9 +1,10 @@
-// Parallel-engine unit and contract tests: mailbox/partition units,
+// Parallel-engine unit and contract tests: the shard assignment,
 // engine-config and lookahead validation (the set_latency satellite),
 // shard-queue cancel routing, the clean-scenario sequential==parallel
 // equality, the ordered-logger byte-diff, and the oftt.pdes.* metrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
@@ -13,9 +14,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/monitor.h"
-#include "sim/mailbox.h"
 #include "sim/parallel_engine.h"
-#include "sim/partition.h"
 #include "sim/simulation.h"
 #include "sim/timer.h"
 #include "pdes/pdes_scenarios.h"
@@ -30,56 +29,18 @@ EngineConfig parallel_cfg(int workers) {
   return cfg;
 }
 
-TEST(SpscMailbox, PreservesFifoOrderAndCapacityRoundsUp) {
-  SpscMailbox box(10);  // rounds up to 16
-  EXPECT_EQ(box.capacity(), 16u);
-  for (int i = 0; i < 12; ++i) {
-    box.push(CrossEvent{i, static_cast<std::uint64_t>(i), 0, nullptr});
-  }
-  EXPECT_EQ(box.spills(), 0u);
-  EXPECT_EQ(box.peak(), 12u);
-  std::vector<SimTime> got;
-  box.drain([&](CrossEvent&& e) { got.push_back(e.at); });
-  ASSERT_EQ(got.size(), 12u);
-  for (int i = 0; i < 12; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-  // Drained mailbox is reusable.
-  box.push(CrossEvent{99, 0, 0, nullptr});
-  got.clear();
-  box.drain([&](CrossEvent&& e) { got.push_back(e.at); });
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 99);
-}
-
-TEST(SpscMailbox, OverflowSpillsInsteadOfBlocking) {
-  SpscMailbox box(8);
-  for (int i = 0; i < 8 + 5; ++i) {
-    box.push(CrossEvent{i, 0, 0, nullptr});
-  }
-  EXPECT_EQ(box.spills(), 5u);
-  EXPECT_EQ(box.peak(), 8u);
-  std::vector<SimTime> got;
-  box.drain([&](CrossEvent&& e) { got.push_back(e.at); });
-  // Ring first, spill after — 13 events total, none lost.
-  ASSERT_EQ(got.size(), 13u);
-  EXPECT_EQ(got[0], 0);
-  EXPECT_EQ(got[12], 12);
-}
-
 TEST(Partition, StrategiesArePureFunctionsOfNodeId) {
-  Partition rr{4, PartitionStrategy::kRoundRobin};
+  Simulation four(1);
+  four.set_engine(parallel_cfg(4));
+  const ParallelEngine& rr = *four.parallel_engine();
   EXPECT_EQ(rr.shard_of(0), 0);
   EXPECT_EQ(rr.shard_of(5), 1);
   EXPECT_EQ(rr.shard_of(7), 3);
   EXPECT_EQ(rr.shard_of(-1), 0);  // global / no node
 
-  Partition blocked{4, PartitionStrategy::kBlocked};
-  EXPECT_EQ(blocked.shard_of(0), 0);
-  EXPECT_EQ(blocked.shard_of(7), 0);
-  EXPECT_EQ(blocked.shard_of(8), 1);
-  EXPECT_EQ(blocked.shard_of(33), 0);
-
-  Partition one{1, PartitionStrategy::kRoundRobin};
-  EXPECT_EQ(one.shard_of(12345), 0);
+  Simulation single(1);
+  single.set_engine(parallel_cfg(1));
+  EXPECT_EQ(single.parallel_engine()->shard_of(12345), 0);
 }
 
 TEST(NetworkLatency, InvertedRangeThrowsInsteadOfClamping) {
@@ -170,8 +131,9 @@ TEST(ParallelEngine, SmokeTimersAndCrossNodeSends) {
 
   Network& net = sim.add_network("lan");
   net.set_latency(milliseconds(1), milliseconds(1));
-  auto ticks = std::make_shared<int>(0);
-  auto recvs = std::make_shared<int>(0);
+  // Nodes on different workers bump these within one window.
+  auto ticks = std::make_shared<std::atomic<int>>(0);
+  auto recvs = std::make_shared<std::atomic<int>>(0);
   for (int n = 0; n < 4; ++n) {
     Node& node = sim.add_node("n" + std::to_string(n));
     net.attach(node.id());
@@ -196,8 +158,8 @@ TEST(ParallelEngine, SmokeTimersAndCrossNodeSends) {
   sim.run_until(milliseconds(105));
   EXPECT_EQ(sim.now(), milliseconds(105));
   // Ticks at (100 + 37*id) us + k*10 ms: k = 0..10 fit in 105 ms.
-  EXPECT_EQ(*ticks, 4 * 11);
-  EXPECT_EQ(*recvs, 4 * 11);  // lossless fixed-latency: every send lands
+  EXPECT_EQ(ticks->load(), 4 * 11);
+  EXPECT_EQ(recvs->load(), 4 * 11);  // lossless fixed-latency: every send lands
 
   ParallelEngine& eng = *sim.parallel_engine();
   EXPECT_GT(eng.windows(), 0u);
@@ -252,22 +214,6 @@ TEST(ParallelEngine, CleanScenarioMatchesSequentialExactly) {
     const std::uint64_t par = pdestest::ring_hash(42, 5, /*lossy=*/false, &cfg);
     EXPECT_EQ(par, seq) << "workers=" << workers;
   }
-}
-
-TEST(ParallelEngine, BlockedPartitionSameHistory) {
-  const std::uint64_t seq = pdestest::ring_hash(42, 5, /*lossy=*/false, nullptr);
-  EngineConfig cfg = parallel_cfg(2);
-  cfg.partition = PartitionStrategy::kBlocked;
-  EXPECT_EQ(pdestest::ring_hash(42, 5, /*lossy=*/false, &cfg), seq);
-}
-
-// Tiny mailboxes force the spill path; history must not change.
-TEST(ParallelEngine, MailboxSpillDoesNotChangeHistory) {
-  EngineConfig big = parallel_cfg(2);
-  const std::uint64_t reference = pdestest::ring_hash(42, 5, /*lossy=*/true, &big);
-  EngineConfig tiny = parallel_cfg(2);
-  tiny.mailbox_capacity = 8;
-  EXPECT_EQ(pdestest::ring_hash(42, 5, /*lossy=*/true, &tiny), reference);
 }
 
 // Satellite: ordered logging. Every line carries (sim-time, node, seq)
@@ -362,6 +308,9 @@ TEST(ParallelEngine, PdesMetricsPopulated) {
   EXPECT_GT(m.counter_value("oftt.pdes.windows"), 0u);
   EXPECT_GT(m.counter_value("oftt.pdes.events"), 0u);
   EXPECT_GE(m.gauge_value("oftt.pdes.stall_ns"), 0);
+  // Round-robin puts ring neighbours on different shards at W=2, so
+  // every send crosses the barrier.
+  EXPECT_GT(m.counter_value("oftt.pdes.cross_events"), 0u);
   const std::int64_t w0 = m.gauge_value("oftt.pdes.w0.events");
   const std::int64_t w1 = m.gauge_value("oftt.pdes.w1.events");
   EXPECT_GT(w0 + w1, 0);
@@ -397,6 +346,7 @@ TEST(ParallelEngine, MonitorPdesBoard) {
   EXPECT_NE(board.find("worker 0"), std::string::npos) << board;
   EXPECT_NE(board.find("worker 1"), std::string::npos) << board;
   EXPECT_NE(board.find("windows="), std::string::npos) << board;
+  EXPECT_NE(board.find("cross_shard_events="), std::string::npos) << board;
   EXPECT_TRUE(board_for(nullptr).empty());
 }
 
