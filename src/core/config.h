@@ -84,10 +84,6 @@ struct OfttConfig {
   /// membership-view gossip with quorum-gated promotion; empty keeps
   /// the paper's pair protocol.
   std::vector<int> cluster_nodes;
-  /// Cluster mode: a primary that can no longer see a live majority of
-  /// the configured membership steps down to backup (keeps a minority
-  /// partition's old primary from serving stale state).
-  bool quorum_stepdown = true;
 
   bool cluster_mode() const { return cluster_nodes.size() >= 2; }
   std::vector<int> cluster_peers(int self) const {
@@ -105,20 +101,11 @@ struct OfttConfig {
   /// heartbeats byte-identical to previous releases; kSwim scales the
   /// detection plane to hundreds of members.
   DetectionMode detection = DetectionMode::kGossip;
-  /// Swim: direct-probe ack deadline before fanning out the indirect
-  /// probes. Must leave room inside one heartbeat_period for the
-  /// indirect round trip, so keep it well under the period.
-  sim::SimTime swim_probe_timeout = sim::milliseconds(40);
-  /// Swim: proxies asked to probe on the origin's behalf after a direct
-  /// miss (the paper's k).
-  int swim_indirect_probes = 3;
   /// Swim: how long a suspect may refute before it is confirmed dead.
   /// 0 = auto: (2*ceil(log2 N) + 6) * heartbeat_period — long enough
   /// for a refutation to disseminate, short enough to keep failover
   /// p99 within 2x of a 9-node cluster at N=512.
   sim::SimTime swim_suspicion_timeout = 0;
-  /// Swim: most membership updates riding one probe/ack frame.
-  std::size_t swim_max_piggyback = 6;
 
   // Startup negotiation (§3.2).
   sim::SimTime startup_probe_timeout = sim::milliseconds(800);

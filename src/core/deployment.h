@@ -133,20 +133,11 @@ inline void validate_detection(const OfttConfig& engine, bool clustered) {
         "deployment: detection = swim needs a cluster deployment — the pair "
         "protocol keeps its own heartbeats");
   }
-  if (engine.swim_probe_timeout <= 0 ||
-      engine.swim_probe_timeout >= engine.heartbeat_period) {
+  if (engine.heartbeat_period <= kSwimProbeTimeout) {
     throw std::invalid_argument(
-        cat("deployment: swim_probe_timeout (", engine.swim_probe_timeout,
-            " ns) must be positive and below heartbeat_period (",
-            engine.heartbeat_period,
+        cat("deployment: heartbeat_period (", engine.heartbeat_period,
+            " ns) must exceed the swim probe timeout (", kSwimProbeTimeout,
             " ns) so the indirect round fits inside one protocol period"));
-  }
-  if (engine.swim_indirect_probes < 0) {
-    throw std::invalid_argument("deployment: swim_indirect_probes must be >= 0");
-  }
-  if (engine.swim_max_piggyback < 1 || engine.swim_max_piggyback > 255) {
-    throw std::invalid_argument(
-        "deployment: swim_max_piggyback must be in [1, 255]");
   }
   if (engine.swim_suspicion_timeout < 0) {
     throw std::invalid_argument("deployment: swim_suspicion_timeout must be >= 0");

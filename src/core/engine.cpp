@@ -18,6 +18,12 @@ constexpr const char* kEngineProcess = "oftt_engine";
 // so the span tracker keys on a mirrored constant. Keep them in sync.
 static_assert(static_cast<std::uint64_t>(Role::kPrimary) == obs::kRoleChangePrimary,
               "obs::kRoleChangePrimary must mirror core::Role::kPrimary");
+
+// Swim protocol constants: proxies asked to probe on the origin's
+// behalf after a direct miss (the paper's k), and the most membership
+// updates riding one probe/ack frame.
+constexpr int kSwimIndirectProbes = 3;
+constexpr std::size_t kSwimMaxPiggyback = 6;
 }
 
 Engine::Engine(sim::Process& process, OfttConfig config)
@@ -56,13 +62,23 @@ Engine::Engine(sim::Process& process, OfttConfig config)
   });
   started_at_ = process_->sim().now();
   restore_role_hint();
+  const int self = process_->node().id();
+  // A pair engine configured without a peer still tracks whoever
+  // heartbeats it, in slot 0.
+  partner_ = std::max(config_.peer_node, 0);
+  int top = partner_;
+  for (int n : config_.cluster_nodes) top = std::max(top, n);
+  live_.resize(static_cast<std::size_t>(top) + 1);
   if (config_.cluster_mode()) {
     // N-replica role management: no pairwise probe exchange. The
     // engine starts from the configured rank-ordered view; the initial
     // primary emerges through the same quorum-gated election that
     // handles failover (see cluster_tick).
     view_ = cluster::MembershipView::initial(config_.cluster_nodes);
-    member_last_hb_[process_->node().id()] = started_at_;
+    for (int n : config_.cluster_nodes) {
+      if (n != self) peers_.push_back(n);
+    }
+    heard(self, started_at_);
     // View gossip and promotion rounds ride reliable sessions so a
     // single lost datagram never stalls a view change or an election.
     // Small window + drop-oldest queue: only the newest view matters,
@@ -87,18 +103,18 @@ Engine::Engine(sim::Process& process, OfttConfig config)
     });
     if (config_.detection == DetectionMode::kSwim) {
       swim::DetectorConfig dc;
-      dc.self = process_->node().id();
+      dc.self = self;
       dc.members = config_.cluster_nodes;
-      dc.probe_timeout = config_.swim_probe_timeout;
+      dc.probe_timeout = kSwimProbeTimeout;
       dc.suspicion_timeout = swim_suspicion_timeout();
-      dc.indirect_probes = config_.swim_indirect_probes;
-      dc.max_piggyback = config_.swim_max_piggyback;
+      dc.indirect_probes = kSwimIndirectProbes;
+      dc.max_piggyback = kSwimMaxPiggyback;
       // Per-node fork name: every detector draws from its own stream, so
       // N detectors shuffle independently and adding one never perturbs
       // another (or any non-swim module).
-      swim_ = std::make_unique<swim::Detector>(
-          dc, process_->sim().fork_rng(cat("swim.", process_->node().id())));
-      swim_->announce(process_->node().id());  // join: disseminate alive@0
+      swim_ = std::make_unique<swim::Detector>(dc,
+                                               process_->sim().fork_rng(cat("swim.", self)));
+      swim_->announce(self);  // join: disseminate alive@0
     }
     OFTT_LOG_INFO("oftt/engine", process_->node().name(), ": engine up, unit '",
                   config_.unit_name, "', cluster of ", config_.cluster_nodes.size(),
@@ -141,19 +157,11 @@ std::shared_ptr<sim::Process> Engine::install(sim::Node& node, OfttConfig config
           "Engine::install: swim detection needs cluster_nodes — the pair "
           "protocol keeps its own heartbeats");
     }
-    if (config.swim_probe_timeout <= 0 ||
-        config.swim_probe_timeout >= config.heartbeat_period) {
+    if (config.heartbeat_period <= kSwimProbeTimeout) {
       throw std::invalid_argument(
-          "Engine::install: swim_probe_timeout must be positive and leave room "
-          "for the indirect round inside one heartbeat_period");
-    }
-    if (config.swim_indirect_probes < 0) {
-      throw std::invalid_argument("Engine::install: swim_indirect_probes < 0");
-    }
-    if (config.swim_max_piggyback < 1 || config.swim_max_piggyback > 255) {
-      throw std::invalid_argument(
-          "Engine::install: swim_max_piggyback must be in [1, 255] (the frame "
-          "carries a one-byte update count)");
+          cat("Engine::install: swim needs heartbeat_period above the ",
+              sim::to_millis(kSwimProbeTimeout),
+              " ms probe timeout, leaving room for the indirect round"));
     }
     if (config.swim_suspicion_timeout < 0) {
       throw std::invalid_argument("Engine::install: swim_suspicion_timeout < 0");
@@ -181,24 +189,34 @@ bool Engine::node_replica_ready() const {
 
 bool Engine::peer_visible() const {
   sim::SimTime now = process_->sim().now();
-  if (config_.cluster_mode()) {
-    for (int peer : config_.cluster_peers(process_->node().id())) {
-      // Swim mode: a peer is visible while the detector has not
-      // confirmed it dead — per-member heartbeat freshness no longer
-      // exists (each peer is contacted only ~once per N periods).
-      if (swim_) {
-        if (swim_->presumed_live(peer)) return true;
-        continue;
-      }
-      auto it = member_last_hb_.find(peer);
-      if (it != member_last_hb_.end() && now - it->second < config_.peer_timeout) return true;
-    }
-    return false;
-  }
-  for (const auto& [net, last] : peer_last_hb_) {
-    if (now - last < config_.peer_timeout) return true;
-  }
-  return false;
+  if (!config_.cluster_mode()) return presumed_live(partner_, now);
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [&](int peer) { return presumed_live(peer, now); });
+}
+
+Engine::Liveness* Engine::slot(int node) {
+  if (node < 0 || static_cast<std::size_t>(node) >= live_.size()) return nullptr;
+  return &live_[static_cast<std::size_t>(node)];
+}
+
+const Engine::Liveness& Engine::liveness(int node) const {
+  static const Liveness kUnheard;
+  if (node < 0 || static_cast<std::size_t>(node) >= live_.size()) return kUnheard;
+  return live_[static_cast<std::size_t>(node)];
+}
+
+void Engine::heard(int node, sim::SimTime now) {
+  if (Liveness* l = slot(node)) l->last_hb = now;
+}
+
+bool Engine::presumed_live(int node, sim::SimTime now) const {
+  if (swim_) return swim_->presumed_live(node);
+  return heard_within(node, now, config_.peer_timeout);
+}
+
+bool Engine::heard_within(int node, sim::SimTime now, sim::SimTime window) const {
+  if (swim_) return swim_->state(node) == swim::MemberState::kAlive;
+  return liveness(node).last_hb > now - window;
 }
 
 // ---------------------------------------------------------------------
@@ -208,12 +226,7 @@ bool Engine::peer_visible() const {
 void Engine::probe_round() {
   if (role_ != Role::kNegotiating || negotiation_resolved_) return;
   ++probe_rounds_;
-  Probe p;
-  p.node = process_->node().id();
-  p.boot_count = process_->node().boot_count();
-  p.incarnation = incarnation_;
-  p.role = role_;
-  send_peer(p.encode(/*reply=*/false));
+  send_peer(probe_frame(/*reply=*/false));
   process_->main_strand().schedule_after(config_.startup_probe_timeout, [this] {
     if (role_ != Role::kNegotiating || negotiation_resolved_) return;
     if (probe_rounds_ <= config_.startup_retries) {
@@ -229,11 +242,10 @@ void Engine::probe_round() {
 void Engine::resolve_with_peer(Role peer_role, std::uint32_t peer_inc, int peer_node) {
   if (role_ != Role::kNegotiating || negotiation_resolved_) return;
   negotiation_resolved_ = true;
-  peer_role_ = peer_role;
   peer_incarnation_ = peer_inc;
   // We just heard from the peer; prime liveness so a backup does not
   // promote spuriously before the first heartbeat lands.
-  for (int net : config_.networks) peer_last_hb_[net] = process_->sim().now();
+  heard(partner_, process_->sim().now());
   switch (peer_role) {
     case Role::kPrimary:
       incarnation_ = peer_inc;
@@ -268,11 +280,8 @@ void Engine::decide_alone() {
     OFTT_LOG_WARN("oftt/engine", process_->node().name(),
                   ": no peer found after retries — shutting down");
     ctr_startup_shutdown_.inc();
-    obs::Event e;
-    e.kind = obs::EventKind::kStartupShutdown;
-    e.detail = "no peer found after startup retries";
-    e.a = static_cast<std::uint64_t>(probe_rounds_);
-    record(std::move(e));
+    record(obs::EventKind::kStartupShutdown, "no peer found after startup retries",
+           static_cast<std::uint64_t>(probe_rounds_));
     role_ = Role::kShutdown;
     announce_role();
     send_status();
@@ -292,16 +301,21 @@ void Engine::record(obs::Event e) {
   process_->sim().telemetry().bus().publish(std::move(e));
 }
 
+void Engine::record(obs::EventKind kind, std::string detail, std::uint64_t a, std::uint64_t b) {
+  obs::Event e;
+  e.kind = kind;
+  e.detail = std::move(detail);
+  e.a = a;
+  e.b = b;
+  record(std::move(e));
+}
+
 void Engine::enter_role(Role role) {
   if (role_ == role) return;
   OFTT_LOG_INFO("oftt/engine", process_->node().name(), ": ", role_name(role_), " -> ",
                 role_name(role), " (incarnation ", incarnation_, ")");
-  obs::Event e;
-  e.kind = obs::EventKind::kRoleChange;
-  e.detail = cat("role ", role_name(role_), " -> ", role_name(role));
-  e.a = static_cast<std::uint64_t>(role);
-  e.b = incarnation_;
-  record(std::move(e));
+  record(obs::EventKind::kRoleChange, cat("role ", role_name(role_), " -> ", role_name(role)),
+         static_cast<std::uint64_t>(role), incarnation_);
   role_ = role;
   persist_role_hint();
   set_components_active(role_ == Role::kPrimary);
@@ -338,11 +352,15 @@ void Engine::restore_role_hint() {
 
 void Engine::promote(const std::string& reason) {
   if (role_ == Role::kPrimary) return;
-  OFTT_LOG_WARN("oftt/engine", process_->node().name(), ": PROMOTING — ", reason);
+  take_over(std::max(incarnation_, peer_incarnation_) + 1, cat(" — ", reason));
+}
+
+void Engine::take_over(std::uint32_t inc, const std::string& why) {
+  OFTT_LOG_WARN("oftt/engine", process_->node().name(), ": PROMOTING", why);
+  incarnation_ = inc;
+  negotiation_resolved_ = true;
   ++takeovers_;
   ctr_takeovers_.inc();
-  incarnation_ = std::max(incarnation_, peer_incarnation_) + 1;
-  negotiation_resolved_ = true;
   enter_role(Role::kPrimary);
 }
 
@@ -350,6 +368,16 @@ void Engine::demote(const std::string& reason) {
   if (role_ == Role::kBackup) return;
   OFTT_LOG_WARN("oftt/engine", process_->node().name(), ": DEMOTING — ", reason);
   enter_role(Role::kBackup);
+}
+
+void Engine::arbitrate_dual_primary(int node, Role sender_role, std::uint32_t inc) {
+  if (role_ != Role::kPrimary || sender_role != Role::kPrimary) return;
+  ctr_dual_primary_.inc();
+  record(obs::EventKind::kDualPrimary,
+         cat("dual primary with node ", node, " (peer inc ", inc, ", ours ", incarnation_, ")"),
+         static_cast<std::uint64_t>(node), inc);
+  bool peer_wins = inc > incarnation_ || (inc == incarnation_ && node < process_->node().id());
+  if (peer_wins) demote("dual-primary resolution");
 }
 
 void Engine::set_components_active(bool active) {
@@ -380,27 +408,17 @@ void Engine::tick() {
   }
 
   // Peer heartbeat out, on every configured network.
-  PeerHeartbeat hb;
-  hb.node = process_->node().id();
-  hb.role = role_;
-  hb.incarnation = incarnation_;
-  hb.seq = ++hb_seq_;
-  hb.replica_ready = node_replica_ready();
-  send_peer(hb.encode());
+  send_peer(heartbeat_frame());
 
   // Peer liveness: a backup promotes when the primary's heartbeat is
   // stale on *every* configured network.
   if (role_ == Role::kBackup && negotiation_resolved_ && !peer_visible()) {
     // Open the failover trace: evidence is the last moment the primary
     // was provably alive (freshest heartbeat on any network).
-    sim::SimTime evidence = 0;
-    for (const auto& [net, last] : peer_last_hb_) evidence = std::max(evidence, last);
-    obs::Event fe;
-    fe.kind = obs::EventKind::kFailureDetected;
-    fe.detail = cat("peer heartbeat timeout (", sim::to_millis(config_.peer_timeout), " ms)");
-    fe.a = static_cast<std::uint64_t>(evidence);
-    record(std::move(fe));
-    promote(cat("peer heartbeat timeout (", sim::to_millis(config_.peer_timeout), " ms)"));
+    sim::SimTime evidence = std::max<sim::SimTime>(0, liveness(partner_).last_hb);
+    std::string why = cat("peer heartbeat timeout (", sim::to_millis(config_.peer_timeout), " ms)");
+    record(obs::EventKind::kFailureDetected, why, static_cast<std::uint64_t>(evidence));
+    promote(why);
   }
 
   check_components(now);
@@ -418,11 +436,11 @@ void Engine::check_components(sim::SimTime now) {
         std::string wd = it->first;
         it = c.watchdogs.erase(it);
         ctr_watchdog_expired_.inc();
-        obs::Event we;
-        we.kind = obs::EventKind::kWatchdogExpired;
-        we.component = c.reg.component;
-        we.detail = cat("watchdog '", wd, "' expired");
-        record(std::move(we));
+        obs::Event e;
+        e.kind = obs::EventKind::kWatchdogExpired;
+        e.component = c.reg.component;
+        e.detail = cat("watchdog '", wd, "' expired");
+        record(std::move(e));
         component_failed(c, cat("watchdog '", wd, "' expired"));
         break;  // component_failed may restart the process; stop iterating
       } else {
@@ -438,22 +456,19 @@ void Engine::check_components(sim::SimTime now) {
 // ---------------------------------------------------------------------
 
 std::set<int> Engine::live_members(sim::SimTime now) const {
-  std::set<int> live;
-  live.insert(process_->node().id());
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    if (swim_) {
-      // Suspects count as live: a member is removed from quorum and
-      // succession math only once its suspicion timeout expired without
-      // refutation (never merely on a missed probe).
-      if (swim_->presumed_live(peer)) live.insert(peer);
-      continue;
-    }
-    auto it = member_last_hb_.find(peer);
-    if (it != member_last_hb_.end() && now - it->second < config_.peer_timeout) {
-      live.insert(peer);
-    }
+  std::set<int> live{process_->node().id()};
+  for (int peer : peers_) {
+    if (presumed_live(peer, now)) live.insert(peer);
   }
   return live;
+}
+
+std::set<int> Engine::ready_members(const std::set<int>& candidates) const {
+  std::set<int> ready;
+  for (int n : candidates) {
+    if (n == process_->node().id() ? node_replica_ready() : liveness(n).ready) ready.insert(n);
+  }
+  return ready;
 }
 
 void Engine::cluster_tick(sim::SimTime now) {
@@ -466,48 +481,29 @@ void Engine::cluster_tick(sim::SimTime now) {
     swim_tick(now);
   } else {
     // Heartbeat every configured member on every configured network.
-    PeerHeartbeat hb;
-    hb.node = self;
-    hb.role = role_;
-    hb.incarnation = incarnation_;
-    hb.seq = ++hb_seq_;
-    hb.replica_ready = node_replica_ready();
-    Buffer hb_payload = hb.encode();
-    for (int peer : config_.cluster_peers(self)) send_to_member(peer, hb_payload);
+    Buffer hb = heartbeat_frame();
+    for (int peer : peers_) send_to_member(peer, hb);
   }
 
-  member_last_hb_[self] = now;
+  heard(self, now);
   if (auto* me = view_.find(self)) me->last_heartbeat = now;
 
   if (role_ == Role::kPrimary) {
     // Fold our liveness observations into the view we own.
     for (auto& m : view_.members) {
-      auto it = member_last_hb_.find(m.node);
-      if (it != member_last_hb_.end()) {
-        m.last_heartbeat = std::max(m.last_heartbeat, it->second);
-      }
+      m.last_heartbeat = std::max(m.last_heartbeat, liveness(m.node).last_hb);
     }
     // Readmit rebooted members: a dead member heartbeating again (or,
     // under swim, refuting its death certificate with a bumped
     // incarnation) rejoins as a backup at the back of the succession
     // order.
-    for (int peer : config_.cluster_peers(self)) {
+    for (int peer : peers_) {
       const cluster::Member* m = view_.find(peer);
       if (m == nullptr || m->role != cluster::MemberRole::kDead) continue;
-      bool back;
-      if (swim_) {
-        back = swim_->state(peer) == swim::MemberState::kAlive;
-      } else {
-        auto it = member_last_hb_.find(peer);
-        back = it != member_last_hb_.end() && now - it->second < config_.peer_timeout;
-      }
-      if (back && cluster::SuccessionPlanner::rejoin(view_, peer)) {
-        obs::Event e;
-        e.kind = obs::EventKind::kViewChange;
-        e.detail = cat("member ", peer, " rejoined: ", view_.summary());
-        e.a = view_.version;
-        e.b = view_.incarnation;
-        record(std::move(e));
+      if (heard_within(peer, now, config_.peer_timeout) &&
+          cluster::SuccessionPlanner::rejoin(view_, peer)) {
+        record(obs::EventKind::kViewChange, cat("member ", peer, " rejoined: ", view_.summary()),
+               view_.version, view_.incarnation);
         // Swim refreshes the view round-robin (one member per tick), so
         // a membership *change* broadcasts once to cut its staleness
         // window from O(N) ticks to one.
@@ -517,23 +513,16 @@ void Engine::cluster_tick(sim::SimTime now) {
     // Quorum stepdown: a primary that cannot see a live majority of the
     // configured membership must stop serving (it may be the minority
     // side of a partition while the majority elects a successor).
-    if (config_.quorum_stepdown &&
-        static_cast<int>(live_members(now).size()) < view_.quorum()) {
-      demote(cat("quorum lost: ", live_members(now).size(), " live of ",
-                 view_.size(), ", need ", view_.quorum()));
+    std::size_t live_count = live_members(now).size();
+    if (static_cast<int>(live_count) < view_.quorum()) {
+      demote(cat("quorum lost: ", live_count, " live of ", view_.size(), ", need ",
+                 view_.quorum()));
       return;
     }
     if (swim_) {
       // O(1) view refresh: one member per tick, full traversal every N
       // ticks. View *changes* still broadcast at the change site.
-      std::vector<int> peers = config_.cluster_peers(self);
-      if (!peers.empty()) {
-        ViewGossip g;
-        g.from_node = self;
-        g.unit = config_.unit_name;
-        g.view = view_;
-        ep_->send(peers[swim_gossip_rr_++ % peers.size()], g.encode());
-      }
+      if (!peers_.empty()) ep_->send(peers_[swim_gossip_rr_++ % peers_.size()], view_frame());
     } else {
       gossip_view();
     }
@@ -544,21 +533,13 @@ void Engine::cluster_tick(sim::SimTime now) {
   // designated successor and the primary is provably stale.
   const cluster::Member* prim = view_.primary();
   if (prim != nullptr) {
-    bool primary_ok;
-    if (swim_) {
-      // Campaign only on a *confirmed* death — a mere suspect may still
-      // refute. This is what keeps the false-failover rate at the
-      // detector's false-positive rate, not its suspicion rate.
-      primary_ok = swim_->presumed_live(prim->node);
-    } else {
-      auto it = member_last_hb_.find(prim->node);
-      sim::SimTime seen = it != member_last_hb_.end() ? it->second : 0;
-      // Join grace: a freshly (re)booted engine has heard nothing yet —
-      // give the primary one full timeout from our own start.
-      seen = std::max(seen, started_at_);
-      primary_ok = now - seen < config_.peer_timeout;
-    }
-    if (primary_ok) {
+    // Swim campaigns only on a *confirmed* death — a mere suspect may
+    // still refute. This is what keeps the false-failover rate at the
+    // detector's false-positive rate, not its suspicion rate. Gossip
+    // join grace: a freshly (re)booted engine has heard nothing yet —
+    // give the primary one full timeout from our own start.
+    bool join_grace = !swim_ && now - started_at_ < config_.peer_timeout;
+    if (presumed_live(prim->node, now) || join_grace) {
       if (campaign_.active) campaign_.clear();  // primary is back
       return;
     }
@@ -589,38 +570,18 @@ void Engine::cluster_tick(sim::SimTime now) {
   // Succession prefers members whose replicas are fresh enough to
   // promote per their policy (piggybacked on peer heartbeats); if no
   // live member qualifies, the planner falls back to plain seniority.
-  std::set<int> eligible;
-  for (int n : live) {
-    if (n == process_->node().id()) {
-      if (node_replica_ready()) eligible.insert(n);
-      continue;
-    }
-    auto rit = member_ready_.find(n);
-    if (rit == member_ready_.end() || rit->second) eligible.insert(n);
-  }
-  if (cluster::SuccessionPlanner::successor(view_, live, eligible) !=
-      process_->node().id()) {
-    return;
-  }
+  if (cluster::SuccessionPlanner::successor(view_, live, ready_members(live)) != self) return;
 
   if (prim != nullptr) {
-    if (swim_) {
-      sim::SimTime evidence =
-          std::max(swim_->last_heard(prim->node), started_at_);
-      start_campaign(now,
-                     cat("primary node ", prim->node,
-                         " confirmed dead (swim, incarnation ",
-                         swim_->incarnation(prim->node), ")"),
-                     evidence, /*had_primary=*/true);
-    } else {
-      auto it = member_last_hb_.find(prim->node);
-      sim::SimTime evidence =
-          std::max(it != member_last_hb_.end() ? it->second : 0, started_at_);
-      start_campaign(now,
-                     cat("primary node ", prim->node, " heartbeat timeout (",
-                         sim::to_millis(config_.peer_timeout), " ms)"),
-                     evidence, /*had_primary=*/true);
-    }
+    // Evidence: the last moment the primary was provably alive.
+    sim::SimTime seen =
+        swim_ ? swim_->last_heard(prim->node) : liveness(prim->node).last_hb;
+    std::string why =
+        swim_ ? cat("primary node ", prim->node, " confirmed dead (swim, incarnation ",
+                    swim_->incarnation(prim->node), ")")
+              : cat("primary node ", prim->node, " heartbeat timeout (",
+                    sim::to_millis(config_.peer_timeout), " ms)");
+    start_campaign(now, why, std::max(seen, started_at_), /*had_primary=*/true);
   } else {
     start_campaign(now, "startup election", now, /*had_primary=*/false);
   }
@@ -641,18 +602,11 @@ void Engine::start_campaign(sim::SimTime now, const std::string& reason,
   if (had_primary) {
     // Open the failover trace. Startup elections record no failure:
     // nothing failed, there is simply no primary yet.
-    obs::Event fe;
-    fe.kind = obs::EventKind::kFailureDetected;
-    fe.detail = reason;
-    fe.a = static_cast<std::uint64_t>(evidence);
-    record(std::move(fe));
+    record(obs::EventKind::kFailureDetected, reason, static_cast<std::uint64_t>(evidence));
   }
-  obs::Event e;
-  e.kind = obs::EventKind::kPromotionRequested;
-  e.detail = cat("campaigning for incarnation ", campaign_.incarnation, ": ", reason);
-  e.a = campaign_.incarnation;
-  e.b = static_cast<std::uint64_t>(view_.quorum());
-  record(std::move(e));
+  record(obs::EventKind::kPromotionRequested,
+         cat("campaigning for incarnation ", campaign_.incarnation, ": ", reason),
+         campaign_.incarnation, static_cast<std::uint64_t>(view_.quorum()));
   send_campaign_requests();
   maybe_promote_on_quorum();  // N=2: our own vote already is a majority
 }
@@ -665,31 +619,21 @@ void Engine::send_campaign_requests() {
   req.view_version = view_.version;
   req.reason = campaign_.reason;
   Buffer payload = req.encode();
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    ep_->send(peer, payload);
-  }
+  for (int peer : peers_) ep_->send(peer, payload);
 }
 
 void Engine::maybe_promote_on_quorum() {
   if (!campaign_.active || campaign_.tally() < view_.quorum()) return;
   sim::SimTime now = process_->sim().now();
-  obs::Event e;
-  e.kind = obs::EventKind::kPromotionQuorum;
-  e.detail = cat("quorum for incarnation ", campaign_.incarnation, ": ", campaign_.tally(),
-                 " of ", view_.quorum(), " votes");
-  e.a = static_cast<std::uint64_t>(campaign_.tally());
-  e.b = static_cast<std::uint64_t>(view_.quorum());
-  record(std::move(e));
+  record(obs::EventKind::kPromotionQuorum,
+         cat("quorum for incarnation ", campaign_.incarnation, ": ", campaign_.tally(),
+             " of ", view_.quorum(), " votes"),
+         static_cast<std::uint64_t>(campaign_.tally()), static_cast<std::uint64_t>(view_.quorum()));
   std::string reason = campaign_.reason;
   std::uint32_t inc = campaign_.incarnation;
   campaign_.clear();
   cluster::SuccessionPlanner::promote(view_, process_->node().id(), inc, live_members(now));
-  incarnation_ = inc;
-  negotiation_resolved_ = true;
-  ++takeovers_;
-  ctr_takeovers_.inc();
-  OFTT_LOG_WARN("oftt/engine", process_->node().name(), ": PROMOTING (quorum) — ", reason);
-  enter_role(Role::kPrimary);
+  take_over(inc, cat(" (quorum) — ", reason));
   gossip_view();
 }
 
@@ -698,56 +642,35 @@ void Engine::cluster_handoff(const std::string& reason) {
   std::set<int> live = live_members(now);
   std::set<int> others = live;
   others.erase(process_->node().id());
-  std::set<int> eligible;
-  for (int n : others) {
-    auto rit = member_ready_.find(n);
-    if (rit == member_ready_.end() || rit->second) eligible.insert(n);
-  }
-  int succ = cluster::SuccessionPlanner::successor(view_, others, eligible);
+  int succ = cluster::SuccessionPlanner::successor(view_, others, ready_members(others));
   if (succ < 0) return;  // callers check peer_visible() first
   // Primary-led view change: no quorum round needed — the incumbent
   // still owns the view and simply publishes its successor.
-  obs::Event fe;
-  fe.kind = obs::EventKind::kFailureDetected;
-  fe.detail = cat("switchover: ", reason);
-  fe.a = static_cast<std::uint64_t>(now);
-  record(std::move(fe));
+  record(obs::EventKind::kFailureDetected, cat("switchover: ", reason),
+         static_cast<std::uint64_t>(now));
   cluster::SuccessionPlanner::promote(view_, succ, incarnation_ + 1, live);
-  obs::Event ve;
-  ve.kind = obs::EventKind::kViewChange;
-  ve.detail = cat("handoff to node ", succ, ": ", view_.summary());
-  ve.a = view_.version;
-  ve.b = view_.incarnation;
-  record(std::move(ve));
+  record(obs::EventKind::kViewChange, cat("handoff to node ", succ, ": ", view_.summary()),
+         view_.version, view_.incarnation);
   gossip_view();
   demote(cat("switchover: ", reason));
 }
 
 void Engine::gossip_view() {
-  ViewGossip g;
-  g.from_node = process_->node().id();
-  g.unit = config_.unit_name;
-  g.view = view_;
-  Buffer payload = g.encode();
+  Buffer payload = view_frame();
   // Every configured member, dead ones included: a rebooted node
   // resynchronizes its view from this broadcast, no join protocol.
   // Rides the session — the drop-oldest queue sheds superseded views
   // to unreachable members instead of hoarding them.
-  for (int peer : config_.cluster_peers(process_->node().id())) {
-    ep_->send(peer, payload);
-  }
+  for (int peer : peers_) ep_->send(peer, payload);
 }
 
 void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
-  member_last_hb_[g.from_node] = now;
+  heard(g.from_node, now);
   bool changed = view_.merge(g.view);
   if (changed) {
-    obs::Event e;
-    e.kind = obs::EventKind::kViewChange;
-    e.detail = cat("adopted view from node ", g.from_node, ": ", view_.summary());
-    e.a = view_.version;
-    e.b = view_.incarnation;
-    record(std::move(e));
+    record(obs::EventKind::kViewChange,
+           cat("adopted view from node ", g.from_node, ": ", view_.summary()), view_.version,
+           view_.incarnation);
   }
   // A view at or beyond our proposed incarnation means someone already
   // won (or the primary is alive and publishing): stand down.
@@ -759,13 +682,7 @@ void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
   if (prim->node == self) {
     if (role_ != Role::kPrimary) {
       // Handoff: the incumbent planned our promotion and published it.
-      incarnation_ = view_.incarnation;
-      negotiation_resolved_ = true;
-      ++takeovers_;
-      ctr_takeovers_.inc();
-      OFTT_LOG_WARN("oftt/engine", process_->node().name(),
-                    ": PROMOTING — designated by view ", view_.summary());
-      enter_role(Role::kPrimary);
+      take_over(view_.incarnation, cat(" — designated by view ", view_.summary()));
       gossip_view();
     } else {
       incarnation_ = std::max(incarnation_, view_.incarnation);
@@ -787,28 +704,16 @@ void Engine::handle_view_gossip(const ViewGossip& g, sim::SimTime now) {
 
 void Engine::handle_promote_request(const sim::Datagram& d, const PromoteRequest& req,
                                     sim::SimTime now) {
-  member_last_hb_[req.candidate] = now;
+  heard(req.candidate, now);
   bool granted = false;
   if (role_ != Role::kPrimary && req.incarnation > view_.incarnation) {
     // Partition safety: refuse while the primary is demonstrably alive
-    // to us, even if it looks dead to the candidate.
+    // to us, even if it looks dead to the candidate. Under swim, by the
+    // time a candidate has confirmed the death the suspicion has
+    // disseminated — honest voters are at least suspecting and grant.
     const cluster::Member* prim = view_.primary();
-    bool primary_fresh = false;
-    if (prim != nullptr) {
-      if (swim_) {
-        // In swim mode "fresh" means undisputed: we hold neither a
-        // suspicion nor a confirmation against the primary. Per-member
-        // heartbeat recency does not exist (a peer is contacted ~once
-        // per N periods), but by the time a candidate has confirmed the
-        // death the suspicion has disseminated — honest voters are at
-        // least suspecting and therefore grant.
-        primary_fresh = swim_->state(prim->node) == swim::MemberState::kAlive;
-      } else {
-        auto it = member_last_hb_.find(prim->node);
-        primary_fresh = it != member_last_hb_.end() &&
-                        now - it->second < 2 * config_.heartbeat_period;
-      }
-    }
+    bool primary_fresh =
+        prim != nullptr && heard_within(prim->node, now, 2 * config_.heartbeat_period);
     if (!primary_fresh) {
       granted = votes_.grant(req.incarnation, req.candidate);
     }
@@ -857,26 +762,18 @@ void Engine::swim_tick(sim::SimTime now) {
   int self = process_->node().id();
   std::vector<swim::Transition> trs;
   swim_->tick(now, trs);
-  swim_publish(trs, now);
+  swim_publish(trs);
 
   int target = swim_->next_target(now);
   if (target < 0) return;  // every peer confirmed dead
-  SwimProbe p;
-  p.from = self;
-  p.origin = self;
-  p.seq = swim_->probe_seq();
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
+  std::uint64_t seq = swim_->probe_seq();
   // piggyback_for: when we hold a suspicion/confirmation against the
   // target itself it leads the batch, so the accused can refute on this
   // very round trip.
-  p.updates = swim_->piggyback_for(target);
-  send_to_member(target, p.encode());
+  send_to_member(target, swim_probe_frame(self, seq, swim_->piggyback_for(target)));
   ctr_swim_probes_sent_.inc();
 
-  std::uint64_t seq = swim_->probe_seq();
-  process_->main_strand().schedule_after(config_.swim_probe_timeout, [this, target, seq] {
+  process_->main_strand().schedule_after(kSwimProbeTimeout, [this, target, seq] {
     // Only escalate the round we armed for: an ack, a crash-restart or
     // a newer round all void this deadline.
     if (!swim_ || !swim_->probe_outstanding()) return;
@@ -888,7 +785,7 @@ void Engine::swim_tick(sim::SimTime now) {
     req.role = role_;
     req.incarnation = incarnation_;
     req.replica_ready = node_replica_ready();
-    for (int proxy : swim_->proxies(target, config_.swim_indirect_probes)) {
+    for (int proxy : swim_->proxies(target, kSwimIndirectProbes)) {
       req.updates = swim_->piggyback();
       send_to_member(proxy, req.encode());
       ctr_swim_indirect_.inc();
@@ -896,29 +793,21 @@ void Engine::swim_tick(sim::SimTime now) {
   });
 }
 
-void Engine::swim_publish(const std::vector<swim::Transition>& transitions,
-                          sim::SimTime now) {
-  (void)now;
+void Engine::swim_publish(const std::vector<swim::Transition>& transitions) {
   int self = process_->node().id();
   for (const auto& tr : transitions) {
     switch (tr.to) {
       case swim::MemberState::kSuspect: {
-        obs::Event e;
-        e.kind = obs::EventKind::kSwimSuspect;
-        e.detail = cat("suspecting node ", tr.node, " (incarnation ", tr.incarnation, ")");
-        e.a = static_cast<std::uint64_t>(tr.node);
-        e.b = tr.incarnation;
-        record(std::move(e));
+        record(obs::EventKind::kSwimSuspect,
+               cat("suspecting node ", tr.node, " (incarnation ", tr.incarnation, ")"),
+               static_cast<std::uint64_t>(tr.node), tr.incarnation);
         break;
       }
       case swim::MemberState::kDead: {
-        obs::Event e;
-        e.kind = obs::EventKind::kSwimDeadConfirm;
-        e.detail = cat("node ", tr.node, " confirmed dead (incarnation ", tr.incarnation,
-                       ", suspected ", sim::to_millis(tr.suspected_for), " ms)");
-        e.a = static_cast<std::uint64_t>(tr.node);
-        e.b = tr.incarnation;
-        record(std::move(e));
+        record(obs::EventKind::kSwimDeadConfirm,
+               cat("node ", tr.node, " confirmed dead (incarnation ", tr.incarnation,
+                   ", suspected ", sim::to_millis(tr.suspected_for), " ms)"),
+               static_cast<std::uint64_t>(tr.node), tr.incarnation);
         if (tr.from == swim::MemberState::kSuspect) {
           hist_swim_suspicion_ms_.record(sim::to_millis(tr.suspected_for));
         }
@@ -929,16 +818,12 @@ void Engine::swim_publish(const std::vector<swim::Transition>& transitions,
         break;
       }
       case swim::MemberState::kAlive: {
-        obs::Event e;
-        e.kind = obs::EventKind::kSwimRefute;
-        e.detail = tr.node == self
-                       ? cat("refuting accusation, incarnation now ", tr.incarnation)
-                       : cat("node ", tr.node, " refuted ",
-                             tr.refuted_death ? "death" : "suspicion",
-                             " (incarnation ", tr.incarnation, ")");
-        e.a = static_cast<std::uint64_t>(tr.node);
-        e.b = tr.incarnation;
-        record(std::move(e));
+        record(obs::EventKind::kSwimRefute,
+               tr.node == self
+                   ? cat("refuting accusation, incarnation now ", tr.incarnation)
+                   : cat("node ", tr.node, " refuted ", tr.refuted_death ? "death" : "suspicion",
+                         " (incarnation ", tr.incarnation, ")"),
+               static_cast<std::uint64_t>(tr.node), tr.incarnation);
         if (tr.from == swim::MemberState::kSuspect) {
           hist_swim_suspicion_ms_.record(sim::to_millis(tr.suspected_for));
         }
@@ -956,48 +841,24 @@ void Engine::swim_publish(const std::vector<swim::Transition>& transitions,
 }
 
 void Engine::swim_burst(const swim::Update& u) {
-  int self = process_->node().id();
-  SwimProbe p;
-  p.from = self;
-  p.origin = self;
-  p.seq = 0;  // never matches a probe round (round seqs start at 1)
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
-  p.updates.push_back(u);
-  Buffer payload = p.encode();
-  for (int peer : config_.cluster_peers(self)) send_to_member(peer, payload);
+  // seq 0 never matches a probe round (round seqs start at 1).
+  Buffer payload = swim_probe_frame(process_->node().id(), /*seq=*/0, {u});
+  for (int peer : peers_) send_to_member(peer, payload);
 }
 
 void Engine::swim_note_sender(int node, Role sender_role, std::uint32_t inc, bool ready,
                               sim::SimTime now) {
-  member_last_hb_[node] = now;
-  member_ready_[node] = ready;
+  if (Liveness* l = slot(node)) *l = Liveness{now, ready};
   swim_->heard_from(node, now);
-  if (role_ == Role::kPrimary && sender_role == Role::kPrimary &&
-      node != process_->node().id()) {
-    // Dual primary after a healed partition: detection traffic carries
-    // the sender's engine role precisely so this arbitration still runs
-    // without all-to-all heartbeats — highest incarnation wins, ties go
-    // to the lower node id.
-    ctr_dual_primary_.inc();
-    obs::Event e;
-    e.kind = obs::EventKind::kDualPrimary;
-    e.detail = cat("dual primary with node ", node, " (peer inc ", inc, ", ours ",
-                   incarnation_, ")");
-    e.a = static_cast<std::uint64_t>(node);
-    e.b = inc;
-    record(std::move(e));
-    bool peer_wins =
-        inc > incarnation_ || (inc == incarnation_ && node < process_->node().id());
-    if (peer_wins) demote("dual-primary resolution");
-  }
+  // Detection traffic carries the sender's engine role precisely so the
+  // dual-primary arbitration still runs without all-to-all heartbeats.
+  if (node != process_->node().id()) arbitrate_dual_primary(node, sender_role, inc);
 }
 
 void Engine::swim_absorb(const std::vector<swim::Update>& updates, sim::SimTime now) {
   std::vector<swim::Transition> trs;
   for (const auto& u : updates) swim_->absorb(u, now, trs);
-  swim_publish(trs, now);
+  swim_publish(trs);
 }
 
 void Engine::handle_swim_probe(const sim::Datagram& d, const SwimProbe& p,
@@ -1006,10 +867,14 @@ void Engine::handle_swim_probe(const sim::Datagram& d, const SwimProbe& p,
   swim_absorb(p.updates, now);
   // Ack to whoever delivered the probe (the origin, or the relaying
   // proxy); the ack's origin field routes it the rest of the way back.
+  send_swim_ack(d, p.origin, p.seq);
+}
+
+void Engine::send_swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq) {
   SwimAck ack;
   ack.from = process_->node().id();
-  ack.origin = p.origin;
-  ack.seq = p.seq;
+  ack.origin = origin;
+  ack.seq = seq;
   ack.role = role_;
   ack.incarnation = incarnation_;
   ack.replica_ready = node_replica_ready();
@@ -1036,32 +901,16 @@ void Engine::handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req
                                   sim::SimTime now) {
   swim_note_sender(req.from, req.role, req.incarnation, req.replica_ready, now);
   swim_absorb(req.updates, now);
-  int self = process_->node().id();
-  if (req.target == self) {
+  if (req.target == process_->node().id()) {
     // Degenerate (a confused origin asking us to probe ourselves):
     // answer the round directly.
-    SwimAck ack;
-    ack.from = self;
-    ack.origin = req.from;
-    ack.seq = req.seq;
-    ack.role = role_;
-    ack.incarnation = incarnation_;
-    ack.replica_ready = node_replica_ready();
-    ack.updates = swim_->piggyback_for(d.src_node);
-    process_->send(d.network_id, d.src_node, kEnginePort, ack.encode(), kEnginePort);
+    send_swim_ack(d, req.from, req.seq);
     return;
   }
   // Relay: probe the target on the origin's behalf, keeping the
   // origin's round identity so its detector can match the ack.
-  SwimProbe p;
-  p.from = self;
-  p.origin = req.from;
-  p.seq = req.seq;
-  p.role = role_;
-  p.incarnation = incarnation_;
-  p.replica_ready = node_replica_ready();
-  p.updates = swim_->piggyback_for(req.target);
-  send_to_member(req.target, p.encode());
+  send_to_member(req.target,
+                 swim_probe_frame(req.from, req.seq, swim_->piggyback_for(req.target)));
 }
 
 void Engine::component_failed(Component& c, const std::string& why) {
@@ -1125,11 +974,8 @@ void Engine::do_switchover(const std::string& reason) {
   // A deliberate transfer of control still opens a failover trace: the
   // "evidence" and the decision coincide (detection phase is zero), and
   // the peer's promotion / activation / reroute milestones follow.
-  obs::Event fe;
-  fe.kind = obs::EventKind::kFailureDetected;
-  fe.detail = cat("switchover: ", reason);
-  fe.a = static_cast<std::uint64_t>(process_->sim().now());
-  record(std::move(fe));
+  record(obs::EventKind::kFailureDetected, cat("switchover: ", reason),
+         static_cast<std::uint64_t>(process_->sim().now()));
   Takeover t;
   t.from_node = process_->node().id();
   t.incarnation = incarnation_;
@@ -1165,11 +1011,57 @@ HRESULT Engine::request_switchover(const std::string& reason) {
 // Messaging
 // ---------------------------------------------------------------------
 
+Buffer Engine::probe_frame(bool reply) const {
+  Probe p;
+  p.node = process_->node().id();
+  p.boot_count = process_->node().boot_count();
+  p.incarnation = incarnation_;
+  p.role = role_;
+  return p.encode(reply);
+}
+
+Buffer Engine::heartbeat_frame() {
+  PeerHeartbeat hb;
+  hb.node = process_->node().id();
+  hb.role = role_;
+  hb.incarnation = incarnation_;
+  hb.seq = ++hb_seq_;
+  hb.replica_ready = node_replica_ready();
+  return hb.encode();
+}
+
+Buffer Engine::swim_probe_frame(int origin, std::uint64_t seq,
+                                std::vector<swim::Update> updates) const {
+  SwimProbe p;
+  p.from = process_->node().id();
+  p.origin = origin;
+  p.seq = seq;
+  p.role = role_;
+  p.incarnation = incarnation_;
+  p.replica_ready = node_replica_ready();
+  p.updates = std::move(updates);
+  return p.encode();
+}
+
+Buffer Engine::role_announce_frame() const {
+  RoleAnnounce ra;
+  ra.unit = config_.unit_name;
+  ra.node = process_->node().id();
+  ra.role = role_;
+  ra.incarnation = incarnation_;
+  return ra.encode();
+}
+
+Buffer Engine::view_frame() const {
+  ViewGossip g;
+  g.from_node = process_->node().id();
+  g.unit = config_.unit_name;
+  g.view = view_;
+  return g.encode();
+}
+
 void Engine::send_peer(const Buffer& payload) {
-  if (config_.peer_node < 0) return;
-  for (int net : config_.networks) {
-    process_->send(net, config_.peer_node, kEnginePort, payload, kEnginePort);
-  }
+  if (config_.peer_node >= 0) send_to_member(config_.peer_node, payload);
 }
 
 void Engine::send_to_member(int node, const Buffer& payload) {
@@ -1203,12 +1095,7 @@ void Engine::send_status() {
 }
 
 void Engine::announce_role() {
-  RoleAnnounce ra;
-  ra.unit = config_.unit_name;
-  ra.node = process_->node().id();
-  ra.role = role_;
-  ra.incarnation = incarnation_;
-  Buffer payload = ra.encode();
+  Buffer payload = role_announce_frame();
   for (const auto& [node, port] : role_subscribers_) {
     int net = sim::pick_network(process_->sim(), process_->node().id(), node);
     if (net < 0) continue;
@@ -1234,12 +1121,8 @@ void Engine::dispatch(const sim::Datagram& d) {
     case MsgKind::kProbe: {
       Probe p;
       if (!Probe::decode(d.payload, p, false)) return;
-      Probe reply;
-      reply.node = process_->node().id();
-      reply.boot_count = process_->node().boot_count();
-      reply.incarnation = incarnation_;
-      reply.role = role_;
-      process_->send(d.network_id, d.src_node, kEnginePort, reply.encode(true), kEnginePort);
+      process_->send(d.network_id, d.src_node, kEnginePort, probe_frame(/*reply=*/true),
+                     kEnginePort);
       if (role_ == Role::kNegotiating) resolve_with_peer(p.role, p.incarnation, p.node);
       break;
     }
@@ -1254,51 +1137,17 @@ void Engine::dispatch(const sim::Datagram& d) {
       if (!PeerHeartbeat::decode(d.payload, hb)) return;
       if (config_.cluster_mode()) {
         if (!view_.knows(hb.node)) return;  // not a configured member
-        member_last_hb_[hb.node] = now;
-        member_ready_[hb.node] = hb.replica_ready;
-        if (role_ == Role::kPrimary && hb.role == Role::kPrimary) {
-          // Dual primary after a healed partition: same arbitration as
-          // the pair protocol — highest incarnation wins, ties go to
-          // the lower node id.
-          ctr_dual_primary_.inc();
-          obs::Event e;
-          e.kind = obs::EventKind::kDualPrimary;
-          e.detail = cat("dual primary with node ", hb.node, " (peer inc ", hb.incarnation,
-                         ", ours ", incarnation_, ")");
-          e.a = static_cast<std::uint64_t>(hb.node);
-          e.b = hb.incarnation;
-          record(std::move(e));
-          bool peer_wins = hb.incarnation > incarnation_ ||
-                           (hb.incarnation == incarnation_ &&
-                            hb.node < process_->node().id());
-          if (peer_wins) demote("dual-primary resolution");
-        }
+        if (Liveness* l = slot(hb.node)) *l = Liveness{now, hb.replica_ready};
+        arbitrate_dual_primary(hb.node, hb.role, hb.incarnation);
         break;
       }
-      peer_last_hb_[d.network_id] = now;
-      peer_role_ = hb.role;
+      heard(partner_, now);
       peer_incarnation_ = hb.incarnation;
-      member_ready_[hb.node] = hb.replica_ready;
       if (role_ == Role::kNegotiating &&
           (hb.role == Role::kPrimary || hb.role == Role::kBackup)) {
         resolve_with_peer(hb.role, hb.incarnation, hb.node);
-      } else if (role_ == Role::kPrimary && hb.role == Role::kPrimary) {
-        // Dual primary (e.g. healed partition): highest incarnation
-        // wins; ties go to the lower node id.
-        ctr_dual_primary_.inc();
-        obs::Event e;
-        e.kind = obs::EventKind::kDualPrimary;
-        e.detail = cat("dual primary with node ", hb.node, " (peer inc ", hb.incarnation,
-                       ", ours ", incarnation_, ")");
-        e.a = static_cast<std::uint64_t>(hb.node);
-        e.b = hb.incarnation;
-        record(std::move(e));
-        bool peer_wins = hb.incarnation > incarnation_ ||
-                         (hb.incarnation == incarnation_ &&
-                          hb.node < process_->node().id());
-        if (peer_wins) {
-          demote("dual-primary resolution");
-        }
+      } else {
+        arbitrate_dual_primary(hb.node, hb.role, hb.incarnation);
       }
       break;
     }
@@ -1330,7 +1179,7 @@ void Engine::dispatch(const sim::Datagram& d) {
       PromoteAck ack;
       if (!PromoteAck::decode(d.payload, ack)) return;
       if (!config_.cluster_mode() || !view_.knows(ack.voter)) return;
-      member_last_hb_[ack.voter] = now;
+      heard(ack.voter, now);
       handle_promote_ack(ack);
       break;
     }
@@ -1458,14 +1307,10 @@ void Engine::dispatch(const sim::Datagram& d) {
       if (!SubscribeRoles::decode(d.payload, sub)) return;
       role_subscribers_.insert({sub.subscriber_node, sub.subscriber_port});
       // Answer immediately so the diverter learns the current role.
-      RoleAnnounce ra;
-      ra.unit = config_.unit_name;
-      ra.node = process_->node().id();
-      ra.role = role_;
-      ra.incarnation = incarnation_;
       int net = sim::pick_network(process_->sim(), process_->node().id(), sub.subscriber_node);
       if (net >= 0) {
-        process_->send(net, sub.subscriber_node, sub.subscriber_port, ra.encode(), kEnginePort);
+        process_->send(net, sub.subscriber_node, sub.subscriber_port, role_announce_frame(),
+                       kEnginePort);
       }
       break;
     }

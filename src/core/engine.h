@@ -16,10 +16,12 @@
 // which is also who restarts it if it dies (failure class d).
 #pragma once
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "cluster/membership.h"
 #include "cluster/quorum.h"
@@ -35,6 +37,11 @@
 #include "transport/session.h"
 
 namespace oftt::core {
+
+/// Swim direct-probe ack deadline before the indirect probes fan out.
+/// heartbeat_period must exceed it, leaving room for the indirect round
+/// trip inside one protocol period (Engine::install checks).
+inline constexpr sim::SimTime kSwimProbeTimeout = sim::milliseconds(40);
 
 class Engine {
  public:
@@ -122,8 +129,16 @@ class Engine {
   void decide_alone();
 
   // role transitions
+  /// Pair takeover: claim an incarnation above both ours and the peer's.
   void promote(const std::string& reason);
+  /// Every path to primary (pair takeover, quorum win, designation by
+  /// the incumbent's view): adopt `inc`, count the takeover, switch role.
+  void take_over(std::uint32_t inc, const std::string& why);
   void demote(const std::string& reason);
+  /// Dual primary (e.g. a healed partition), seen on any frame carrying
+  /// the sender's engine role: highest incarnation wins, ties go to the
+  /// lower node id.
+  void arbitrate_dual_primary(int node, Role sender_role, std::uint32_t inc);
   void enter_role(Role role);
   void set_components_active(bool active);
   /// Durable role hint ("oftt.role.<unit>" on the node's disk): written
@@ -139,9 +154,33 @@ class Engine {
   void do_switchover(const std::string& reason);
   void restart_component(Component& c);
 
+  // liveness: one record per node for the pair, gossip and swim paths
+  /// Below every real time, so a never-heard node is stale at any
+  /// window and leaves a max-fold unchanged.
+  static constexpr sim::SimTime kNeverHeard = std::numeric_limits<sim::SimTime>::min();
+  struct Liveness {
+    sim::SimTime last_hb = kNeverHeard;  // freshest traffic on any network
+    /// Replica readiness from the node's heartbeats; succession prefers
+    /// ready members, and unheard ones count as ready.
+    bool ready = true;
+  };
+  Liveness* slot(int node);  // null outside the id range
+  const Liveness& liveness(int node) const;  // never-heard outside the id range
+  void heard(int node, sim::SimTime now);
+  /// Counts for quorum and succession. Gossip: heard within
+  /// peer_timeout. Swim: not confirmed dead (a suspect may refute).
+  bool presumed_live(int node, sim::SimTime now) const;
+  /// Recently proven alive. Gossip: heard within `window`. Swim:
+  /// neither suspected nor dead — per-member recency does not exist
+  /// when each peer is probed about once per N periods.
+  bool heard_within(int node, sim::SimTime now, sim::SimTime window) const;
+
   // cluster mode (N-replica role management)
   void cluster_tick(sim::SimTime now);
   std::set<int> live_members(sim::SimTime now) const;
+  /// The members of `candidates` whose replicas are fresh enough to
+  /// promote per their policy (self judged by its own components).
+  std::set<int> ready_members(const std::set<int>& candidates) const;
   void start_campaign(sim::SimTime now, const std::string& reason, sim::SimTime evidence,
                       bool had_primary);
   void send_campaign_requests();
@@ -156,7 +195,7 @@ class Engine {
   // swim failure detection (cluster mode with detection = kSwim)
   sim::SimTime swim_suspicion_timeout() const;
   void swim_tick(sim::SimTime now);
-  void swim_publish(const std::vector<swim::Transition>& transitions, sim::SimTime now);
+  void swim_publish(const std::vector<swim::Transition>& transitions);
   /// Shared prologue for every received swim frame: liveness + readiness
   /// bookkeeping and dual-primary arbitration riding detection traffic.
   void swim_note_sender(int node, Role role, std::uint32_t inc, bool ready,
@@ -170,6 +209,15 @@ class Engine {
   void handle_swim_ack(const sim::Datagram& d, const SwimAck& a, sim::SimTime now);
   void handle_swim_ping_req(const sim::Datagram& d, const SwimPingReq& req,
                             sim::SimTime now);
+  /// Answer the probe round (`origin`, `seq`) to whoever delivered `d`.
+  void send_swim_ack(const sim::Datagram& d, int origin, std::uint64_t seq);
+
+  // frames stamped with this engine's identity, role and incarnation
+  Buffer probe_frame(bool reply) const;
+  Buffer heartbeat_frame();
+  Buffer swim_probe_frame(int origin, std::uint64_t seq, std::vector<swim::Update> updates) const;
+  Buffer role_announce_frame() const;
+  Buffer view_frame() const;
 
   // messaging
   void send_peer(const Buffer& payload);
@@ -181,6 +229,9 @@ class Engine {
   /// Stamp unit/node, append to the local incident log, publish on the
   /// telemetry bus.
   void record(obs::Event e);
+  /// record() for the usual shape: no component, a detail and two payloads.
+  void record(obs::EventKind kind, std::string detail, std::uint64_t a = 0,
+              std::uint64_t b = 0);
 
   sim::Process* process_;
   OfttConfig config_;
@@ -192,9 +243,11 @@ class Engine {
   std::uint64_t hb_seq_ = 0;
   std::uint64_t takeovers_ = 0;
 
-  std::map<int, sim::SimTime> peer_last_hb_;  // by network id
+  /// By node id. Pair mode uses only the partner's slot, which any peer
+  /// heartbeat refreshes whatever node it names.
+  std::vector<Liveness> live_;
+  int partner_ = 0;
   std::uint32_t peer_incarnation_ = 0;
-  Role peer_role_ = Role::kUnknown;
 
   // Cluster mode (empty / inert when config_.cluster_mode() is false).
   /// Reliable sessions for view gossip and promotion rounds: a single
@@ -203,10 +256,8 @@ class Engine {
   /// must feel loss (see DESIGN.md, transport section).
   std::unique_ptr<transport::Endpoint> ep_;
   cluster::MembershipView view_;
-  std::map<int, sim::SimTime> member_last_hb_;  // freshest across networks
-  /// Per-member replica readiness from peer heartbeats (succession
-  /// prefers ready members; unknown members count as ready).
-  std::map<int, bool> member_ready_;
+  /// Configured members other than this node, in configuration order.
+  std::vector<int> peers_;
   cluster::VoteLedger votes_;
   cluster::Campaign campaign_;
   sim::SimTime started_at_ = 0;

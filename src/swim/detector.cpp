@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace oftt::swim {
 
@@ -20,15 +21,29 @@ Detector::Detector(DetectorConfig config, sim::Rng rng)
   budget_ = config_.retransmit_budget > 0 ? config_.retransmit_budget
                                           : auto_budget(config_.members.size());
   for (int node : config_.members) {
-    if (node == config_.self) continue;
-    members_.emplace(node, MemberInfo{});
+    if (node == config_.self || node < 0) continue;
+    auto slot = static_cast<std::size_t>(node);
+    if (slot >= members_.size()) members_.resize(slot + 1);
+    members_[slot].configured = true;
   }
   reshuffle();
 }
 
+Detector::MemberInfo* Detector::member(int node) {
+  return const_cast<MemberInfo*>(std::as_const(*this).member(node));
+}
+
+const Detector::MemberInfo* Detector::member(int node) const {
+  if (node < 0 || static_cast<std::size_t>(node) >= members_.size()) return nullptr;
+  const MemberInfo& m = members_[static_cast<std::size_t>(node)];
+  return m.configured ? &m : nullptr;
+}
+
 void Detector::reshuffle() {
   order_.clear();
-  for (const auto& [node, info] : members_) order_.push_back(node);
+  for (std::size_t node = 0; node < members_.size(); ++node) {
+    if (members_[node].configured) order_.push_back(static_cast<int>(node));
+  }
   // Fisher-Yates on the injected stream: every member walks its peers
   // in an independent random order, so probe load spreads evenly and no
   // two members gang up on the same victim every period.
@@ -45,17 +60,18 @@ void Detector::tick(sim::SimTime now, std::vector<Transition>& out) {
   // with neither a direct nor an indirect ack — suspect the target at
   // the incarnation we hold for it.
   if (round_.target >= 0 && !round_.acked) {
-    auto it = members_.find(round_.target);
-    if (it != members_.end() && it->second.state == MemberState::kAlive) {
-      apply(Update{round_.target, it->second.incarnation, MemberState::kSuspect}, now, out);
+    const MemberInfo* m = member(round_.target);
+    if (m != nullptr && m->state == MemberState::kAlive) {
+      apply(Update{round_.target, m->incarnation, MemberState::kSuspect}, now, out);
     }
     round_.target = -1;
     round_.acked = true;
   }
   // Expire suspicions whose refutation window closed.
-  for (auto& [node, info] : members_) {
-    if (info.state == MemberState::kSuspect && now >= info.suspect_deadline) {
-      apply(Update{node, info.incarnation, MemberState::kDead}, now, out);
+  for (std::size_t node = 0; node < members_.size(); ++node) {
+    const MemberInfo& m = members_[node];
+    if (m.configured && m.state == MemberState::kSuspect && now >= m.suspect_deadline) {
+      apply(Update{static_cast<int>(node), m.incarnation, MemberState::kDead}, now, out);
     }
   }
 }
@@ -70,8 +86,8 @@ int Detector::next_target(sim::SimTime now) {
     if (order_pos_ >= order_.size()) reshuffle();
     if (order_.empty()) return -1;
     int candidate = order_[order_pos_++];
-    auto it = members_.find(candidate);
-    if (it == members_.end() || it->second.state == MemberState::kDead) continue;
+    const MemberInfo* m = member(candidate);
+    if (m == nullptr || m->state == MemberState::kDead) continue;
     round_.target = candidate;
     round_.started = now;
     round_.acked = false;
@@ -83,9 +99,12 @@ int Detector::next_target(sim::SimTime now) {
 
 std::vector<int> Detector::proxies(int target, int k) {
   std::vector<int> candidates;
-  for (const auto& [node, info] : members_) {
-    if (node == target || info.state == MemberState::kDead) continue;
-    candidates.push_back(node);
+  for (std::size_t node = 0; node < members_.size(); ++node) {
+    const MemberInfo& m = members_[node];
+    if (!m.configured || static_cast<int>(node) == target || m.state == MemberState::kDead) {
+      continue;
+    }
+    candidates.push_back(static_cast<int>(node));
   }
   std::vector<int> picked;
   for (int i = 0; i < k && !candidates.empty(); ++i) {
@@ -103,12 +122,11 @@ void Detector::on_ack(int from, std::uint64_t seq, sim::SimTime now) {
 }
 
 void Detector::heard_from(int node, sim::SimTime now) {
-  auto it = members_.find(node);
-  if (it != members_.end()) it->second.last_heard = now;
+  if (MemberInfo* m = member(node)) m->last_heard = now;
 }
 
 void Detector::absorb(const Update& u, sim::SimTime now, std::vector<Transition>& out) {
-  if (u.node != config_.self && members_.find(u.node) == members_.end()) {
+  if (u.node != config_.self && member(u.node) == nullptr) {
     return;  // not a configured member — static membership, ignore
   }
   apply(u, now, out);
@@ -132,7 +150,7 @@ void Detector::apply(const Update& u, sim::SimTime now, std::vector<Transition>&
     out.push_back(tr);
     return;
   }
-  MemberInfo& m = members_.at(u.node);
+  MemberInfo& m = *member(u.node);
   if (!u.supersedes(m.incarnation, m.state)) return;
   Transition tr;
   tr.node = u.node;
@@ -199,9 +217,9 @@ std::vector<Update> Detector::piggyback() {
 
 std::vector<Update> Detector::piggyback_for(int peer) {
   std::vector<Update> out = piggyback();
-  auto it = members_.find(peer);
-  if (it == members_.end() || it->second.state == MemberState::kAlive) return out;
-  Update accusation{peer, it->second.incarnation, it->second.state};
+  const MemberInfo* m = member(peer);
+  if (m == nullptr || m->state == MemberState::kAlive) return out;
+  Update accusation{peer, m->incarnation, m->state};
   for (const Update& u : out) {
     if (u.node == peer) return out;  // already riding this frame
   }
@@ -215,33 +233,29 @@ void Detector::announce(int node) {
     enqueue(Update{config_.self, self_incarnation_, MemberState::kAlive});
     return;
   }
-  auto it = members_.find(node);
-  if (it == members_.end()) return;
-  enqueue(Update{node, it->second.incarnation, it->second.state});
+  if (const MemberInfo* m = member(node)) enqueue(Update{node, m->incarnation, m->state});
 }
 
 MemberState Detector::state(int node) const {
   if (node == config_.self) return MemberState::kAlive;
-  auto it = members_.find(node);
-  return it == members_.end() ? MemberState::kDead : it->second.state;
+  const MemberInfo* m = member(node);
+  return m == nullptr ? MemberState::kDead : m->state;
 }
 
 std::uint32_t Detector::incarnation(int node) const {
   if (node == config_.self) return self_incarnation_;
-  auto it = members_.find(node);
-  return it == members_.end() ? 0 : it->second.incarnation;
+  const MemberInfo* m = member(node);
+  return m == nullptr ? 0 : m->incarnation;
 }
 
 sim::SimTime Detector::last_heard(int node) const {
-  auto it = members_.find(node);
-  return it == members_.end() ? 0 : it->second.last_heard;
+  const MemberInfo* m = member(node);
+  return m == nullptr ? 0 : m->last_heard;
 }
 
 sim::SimTime Detector::suspect_since(int node) const {
-  auto it = members_.find(node);
-  return it == members_.end() || it->second.state != MemberState::kSuspect
-             ? 0
-             : it->second.suspect_since;
+  const MemberInfo* m = member(node);
+  return m == nullptr || m->state != MemberState::kSuspect ? 0 : m->suspect_since;
 }
 
 }  // namespace oftt::swim

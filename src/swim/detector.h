@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "sim/rng.h"
@@ -139,6 +138,9 @@ class Detector {
 
  private:
   struct MemberInfo {
+    /// A configured peer (slots for ids outside the membership, and
+    /// self's own slot, stay unconfigured).
+    bool configured = false;
     MemberState state = MemberState::kAlive;
     std::uint32_t incarnation = 0;
     sim::SimTime last_heard = 0;
@@ -161,12 +163,16 @@ class Detector {
   void apply(const Update& u, sim::SimTime now, std::vector<Transition>& out);
   void enqueue(const Update& u);
   void reshuffle();
+  /// The configured peer `node`, or null (self, or not a member).
+  MemberInfo* member(int node);
+  const MemberInfo* member(int node) const;
 
   DetectorConfig config_;
   sim::Rng rng_;
   int budget_ = 0;
   std::uint32_t self_incarnation_ = 0;
-  std::map<int, MemberInfo> members_;  // peers only (self excluded)
+  /// Indexed by node id; iterating it walks peers in ascending id.
+  std::vector<MemberInfo> members_;
   std::vector<Buffered> buffer_;
   std::vector<int> order_;  // current traversal of probe targets
   std::size_t order_pos_ = 0;

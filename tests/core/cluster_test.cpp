@@ -360,6 +360,27 @@ TEST(Cluster, IdenticalSeedsYieldByteIdenticalFailoverTraces) {
 // Config validation.
 // ---------------------------------------------------------------------
 
+// The cluster twin of Engine.NeverHeardPeerIsNotVisible: a gossip
+// member whose peers are all down sees none of them before the run is
+// peer_timeout old. Two replicas, so the lone member's own vote is a
+// quorum and it elects itself.
+TEST(Cluster, NeverHeardMembersAreNotVisible) {
+  sim::Simulation sim(83);
+  ClusterDeploymentOptions opts;
+  opts.replicas = 2;
+  opts.autostart = false;
+  opts.engine.startup_probe_timeout = sim::milliseconds(100);
+  ClusterDeployment dep(sim, opts);
+  dep.node(0).boot();
+  sim.run_for(sim::milliseconds(300));
+  ASSERT_LT(sim.now(), opts.engine.peer_timeout);
+  Engine* e = dep.engine(0);
+  ASSERT_NE(e, nullptr);
+  ASSERT_EQ(e->role(), Role::kPrimary);
+  EXPECT_FALSE(e->peer_visible());
+  EXPECT_EQ(e->request_switchover("maintenance"), OFTT_E_NO_PEER);
+}
+
 TEST(ClusterValidation, RejectsNonsensicalConfigs) {
   sim::Simulation sim(7011);
   {

@@ -175,6 +175,26 @@ TEST(Engine, RebootedBackupCatchesUpThroughCheckpoints) {
   EXPECT_GE(r.i64(), count_mid);
 }
 
+// A peer that has never heartbeated reads as absent, also while the run
+// is still younger than peer_timeout (a zero or kNever "last heard"
+// would read as fresh there).
+TEST(Engine, NeverHeardPeerIsNotVisible) {
+  sim::Simulation sim(82);
+  PairDeploymentOptions opts;
+  opts.engine.startup_probe_timeout = sim::milliseconds(100);
+  opts.engine.startup_retries = 0;
+  opts.engine.alone_policy = AloneStartupPolicy::kBecomePrimary;
+  opts.node_b_boot_delay = sim::seconds(10);  // the peer node stays down
+  PairDeployment dep(sim, opts);
+  sim.run_for(sim::milliseconds(300));
+  ASSERT_LT(sim.now(), opts.engine.peer_timeout);
+  Engine* a = dep.engine_a();
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->role(), Role::kPrimary);
+  EXPECT_FALSE(a->peer_visible());
+  EXPECT_EQ(a->request_switchover("maintenance"), OFTT_E_NO_PEER);
+}
+
 TEST(Engine, EventHistoryCapEvictsOldestFirst) {
   sim::Simulation sim(81);
   auto opts = app_options(false);

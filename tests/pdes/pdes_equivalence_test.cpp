@@ -91,7 +91,8 @@ TEST(PdesEquivalence, SwimClusterInvariantAcrossWorkers) {
   for (std::uint64_t seed : kSeeds) {
     expect_worker_invariant(
         [seed](const EngineConfig* cfg) {
-          return pdestest::swim_cluster_hash(seed, /*replicas=*/9, seconds(20), cfg);
+          return pdestest::swim_cluster_hash(seed, core::DetectionMode::kSwim, /*replicas=*/9,
+                                              seconds(20), cfg);
         },
         "swim cluster", seed);
   }

@@ -148,10 +148,12 @@ inline std::uint64_t ring_hash(std::uint64_t seed, int nodes, bool lossy,
   return digest->combined();
 }
 
-/// SWIM-detection cluster (the N-replica deployment the swim subsystem
-/// is benched on) with a mid-run crash + reboot; digest is the
-/// telemetry history hash plus role/network observables.
-inline std::uint64_t swim_cluster_hash(std::uint64_t seed, int replicas, SimTime run_for,
+/// N-replica cluster (SWIM detection is what the swim subsystem is
+/// benched on; kGossip runs the all-to-all heartbeat path) with a
+/// mid-run crash + reboot; digest is the telemetry history hash plus
+/// role/network observables.
+inline std::uint64_t swim_cluster_hash(std::uint64_t seed, core::DetectionMode detection,
+                                       int replicas, SimTime run_for,
                                        const EngineConfig* engine) {
   Simulation sim(seed);
   if (engine != nullptr) sim.set_engine(*engine);
@@ -160,7 +162,7 @@ inline std::uint64_t swim_cluster_hash(std::uint64_t seed, int replicas, SimTime
   opts.replicas = replicas;
   opts.with_msmq = false;
   opts.with_scm = false;
-  opts.engine.detection = core::DetectionMode::kSwim;
+  opts.engine.detection = detection;
   core::ClusterDeployment dep(sim, opts);
 
   chaos::CoverageProbe probe(sim.telemetry());
